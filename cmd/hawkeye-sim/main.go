@@ -36,7 +36,6 @@ func main() {
 	traceChrome := flag.String("trace-chrome", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
 	traceSample := flag.Float64("trace-sample", 0, "sample all vmstat counters into recorder series every this many simulated seconds (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve live introspection endpoints (/metrics, /progress, /events, /debug/pprof) on this address while running (empty = off)")
-	noChunkMemo := flag.Bool("no-chunk-memo", false, "execute every replayed trace chunk through the per-run oracle path instead of applying cached chunk-effect deltas (output is byte-identical either way)")
 	list := flag.Bool("list", false, "list policies and workloads, then exit")
 	flag.Parse()
 
@@ -71,7 +70,6 @@ func main() {
 		FragmentKeep: *fragment,
 		SwapBytes:    mem.Bytes(*swapGB * float64(1<<30)),
 		Trace:        traceCfg,
-		NoChunkMemo:  *noChunkMemo,
 	})
 
 	names := strings.Split(*workloads, ",")

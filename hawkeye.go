@@ -121,11 +121,6 @@ type Options struct {
 	// vmstat-counter subsystem; the recorder is reachable afterwards as
 	// Sim.K.Trace. Tracing never perturbs simulation results.
 	Trace *TraceConfig
-	// NoChunkMemo disables chunk-effect memoization on replayed steady
-	// quanta, forcing every chunk through the per-run oracle path. Output
-	// is byte-identical either way; this is an escape hatch for timing and
-	// verification.
-	NoChunkMemo bool
 }
 
 // TraceConfig configures the tracing subsystem (see internal/trace).
@@ -182,7 +177,6 @@ func NewSim(o Options) *Sim {
 	}
 	cfg.SwapBytes = o.SwapBytes
 	cfg.Trace = o.Trace
-	cfg.NoChunkMemo = o.NoChunkMemo
 	k := kernel.New(cfg, pol)
 	// Register with the live-introspection registry before anything runs
 	// (no-op unless tracing is on; scraped only while a debug server is up).

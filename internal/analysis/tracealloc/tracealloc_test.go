@@ -26,13 +26,12 @@ func TestTraceallocReplayHooks(t *testing.T) {
 	)
 }
 
-// TestTraceallocChunkMemoHooks analyzes the kernel testdata package — the
-// chunk-effect memoization counter shapes: handles bound once at trace
-// attach behind an explicit registry guard and ticked per
-// hit/miss/invalidate from the memoized steady path stay silent; per-chunk
-// formatted names, unguarded registry derefs and allocating hook arguments
-// on the same path are flagged.
-func TestTraceallocChunkMemoHooks(t *testing.T) {
+// TestTraceallocKernelCounterHooks analyzes the kernel testdata package —
+// per-machine counter shapes on a steady hot path: handles bound once at
+// trace attach behind an explicit registry guard and ticked from the hot
+// path stay silent; per-chunk formatted names, unguarded registry derefs
+// and allocating hook arguments on the same path are flagged.
+func TestTraceallocKernelCounterHooks(t *testing.T) {
 	analysistest.Run(t, "testdata", tracealloc.Analyzer,
 		"hawkeye/internal/kernel",
 	)

@@ -66,15 +66,9 @@ type Options struct {
 	// pipeline to that contract) — so, like NoSnapshotCache, this is an
 	// escape hatch for timing and A/B-ing (hawkeye-bench -no-trace-cache).
 	NoTraceCache bool
-	// NoChunkMemo disables chunk-effect memoization on the replayed steady
-	// path: every replayed chunk decodes and executes its runs instead of
-	// applying a cached effect delta on a fingerprint hit. Output is
-	// byte-identical either way — the memo layer only fires when the
-	// fingerprinted machine state guarantees the per-run oracle would
-	// produce exactly the cached effect (TestChunkMemoMatchesOracle and the
-	// CI sweep-smoke cmp hold it to that contract) — so this is the oracle
-	// escape hatch for timing and A/B-ing (hawkeye-bench -no-chunk-memo).
-	NoChunkMemo bool
+	// Kept only so existing callers that set this field still compile;
+	// nothing reads it.
+	NoChunkMemo bool // Deprecated: no effect.
 }
 
 // Metrics aggregates simulation counters across every machine an experiment
@@ -344,7 +338,6 @@ func (o Options) kernelConfig() kernel.Config {
 	cfg.MemoryBytes = o.MemoryBytes
 	cfg.Seed = o.Seed
 	cfg.ScalarPath = o.Scalar
-	cfg.NoChunkMemo = o.NoChunkMemo
 	cfg.Trace = o.Trace
 	return cfg
 }

@@ -38,13 +38,9 @@ type Config struct {
 	// construction; the scalar path is kept as the oracle the golden
 	// equivalence test compares against.
 	ScalarPath bool
-	// NoChunkMemo disables the chunk-effect memoization layer of the
-	// batched steady path (see memo.go and DESIGN §14): every replayed
-	// chunk decodes and executes run by run, exactly as PR 3 shipped it.
-	// Memoized execution is bit-identical by construction; this escape
-	// hatch is the oracle the golden byte-identity tests and the CI
-	// sweep-smoke cmp compare against.
-	NoChunkMemo bool
+	// Kept only so existing callers that set this field still compile;
+	// nothing reads it.
+	NoChunkMemo bool // Deprecated: no effect.
 	// Engine, when non-nil, co-simulates this kernel on an existing engine
 	// (guest machines share the host's clock). Kernels on a shared engine
 	// never auto-stop it.
@@ -125,9 +121,6 @@ type Proc struct {
 	// runBuf is the reusable per-quantum trace buffer of the batched
 	// steady-state path.
 	runBuf []AccessRun
-	// memo is the chunk-effect fingerprint scratch (nil until the first
-	// memoizable quantum; pooled across machines like runBuf).
-	memo *memoScratch
 }
 
 // Name returns the process name.
@@ -201,9 +194,6 @@ type Kernel struct {
 	ctrPswpOut     *trace.Counter
 	ctrCOWBreak    *trace.Counter
 	ctrOOMKill     *trace.Counter
-	ctrChunkHit    *trace.Counter
-	ctrChunkMiss   *trace.Counter
-	ctrChunkInval  *trace.Counter
 }
 
 // New builds a machine with the given policy attached.
@@ -265,11 +255,6 @@ func (k *Kernel) attachTrace(cfg trace.Config) {
 	k.ctrPswpOut = cs.Counter("pswpout")
 	k.ctrCOWBreak = cs.Counter("cow_break")
 	k.ctrOOMKill = cs.Counter("oom_kill")
-	// Chunk-effect memoization tallies (registered unconditionally so the
-	// vmstat schema is stable whether or not the machine ever replays).
-	k.ctrChunkHit = cs.Counter("chunk_effect_hits")
-	k.ctrChunkMiss = cs.Counter("chunk_effect_miss")
-	k.ctrChunkInval = cs.Counter("chunk_effect_invalidate")
 	cs.Gauge("nr_free_pages", func() float64 { return float64(k.Alloc.FreePages()) })
 	cs.Gauge("nr_zero_free_pages", func() float64 { return float64(k.Alloc.ZeroFreePages()) })
 	cs.Gauge("nr_file_pages", func() float64 { return float64(k.Alloc.FileCachePages()) })
@@ -472,10 +457,6 @@ func (k *Kernel) Release() {
 			b := p.runBuf[:0]
 			runBufPool.Put(&b)
 			p.runBuf = nil
-		}
-		if p.memo != nil {
-			memoScratchPool.Put(p.memo)
-			p.memo = nil
 		}
 	}
 	k.Alloc.Release()

@@ -135,11 +135,6 @@ func Tier0Benchmarks() []Tier0Bench {
 		// quantum, whose zero-alloc contract the MaxAllocs cap enforces.
 		{Name: "sweep_cell", Iters: 10, Reps: 2, Tolerance: 0.30, GateAllocs: true, AllocIters: 4, Setup: setupSweepCell},
 		{Name: "sweep_cell_steady", Iters: 20_000, Reps: 3, GateAllocs: true, MaxAllocs: 2, AllocIters: 2_000, Setup: setupSweepCellSteady},
-		// chunk_apply isolates the memoized quantum: every op is one
-		// fingerprint cycle resolving to a cache hit plus the O(touched
-		// regions + touched sets) effect-delta apply. The sub-1 MaxAllocs cap
-		// is the hard zero-alloc contract of the hit path.
-		{Name: "chunk_apply", Iters: 20_000, Reps: 3, GateAllocs: true, MaxAllocs: 0.5, AllocIters: 2_000, Setup: setupChunkApply},
 		// introspect_off is the disabled-instrumentation floor: the hooks the
 		// sweep worker body runs per cell, with no debug server armed. The
 		// sub-1 MaxAllocs cap holds the contract that idle observability is
@@ -432,63 +427,6 @@ func setupSweepCellSteady() func() {
 			panic(err)
 		}
 	}
-}
-
-// setupChunkApply isolates the memoized chunk-effect apply: the same
-// machine and trace as setupSweepCellSteady, but each op first rewinds the
-// TLB to a pinned pre-state (an in-place CopyFrom — no allocation) so the
-// quantum's fingerprint is identical every iteration and the recorded chunk
-// variant hits on every op. A bare rewind-replay cycle would not do: LRU
-// way placement is permutation-persistent, so the translation state never
-// revisits a fingerprint within the variant cap and every op would miss.
-// Restoring the pre-state reproduces how memoization pays off in production
-// — sweep cells forked from one snapshot replay identical chunks from
-// identical state. Setup verifies the hit by probing the process-wide
-// chunk_effect_hits counter: a bench that silently fell back to live
-// execution would measure the wrong path.
-func setupChunkApply() func() {
-	cfg := kernel.DefaultConfig()
-	cfg.MemoryBytes = 256 << 20
-	k := kernel.New(cfg, nil)
-	p := k.Spawn("bench", nil)
-	const pages = 4 * mem.HugePages
-	for v := vmm.VPN(0); v < pages; v++ {
-		if _, err := k.Touch(p, v, true); err != nil {
-			panic(err)
-		}
-	}
-	geom := workload.Geometry{
-		Pages:     pages,
-		Kind:      workload.Hotspot,
-		HotFrac:   0.15,
-		HotProb:   0.90,
-		WriteFrac: 0.2,
-		Prof:      kernel.AccessProfile{Locality: 0.8, CyclesPerAccess: 820},
-	}
-	rs := workload.NewReplaySampler(workload.NewTrace(geom), nil)
-	if _, err := k.SteadyRun(p, cfg.Quantum, rs); err != nil {
-		panic(err) // captures the quantum every op replays
-	}
-	pre := k.TLB.Clone() // pinned pre-state: every op starts here
-	op := func() {
-		k.TLB.CopyFrom(pre)
-		start, ok := rs.Rewind()
-		if !ok {
-			panic("chunk_apply: empty trace")
-		}
-		p.Rand().SetState(start)
-		if _, err := k.SteadyRun(p, cfg.Quantum, rs); err != nil {
-			panic(err)
-		}
-	}
-	hits := introspect.GetCounter("chunk_effect_hits")
-	op() // first replay from the pinned state records the chunk variant
-	h0 := hits.Value()
-	op()
-	if hits.Value() == h0 {
-		panic("chunk_apply: memoization never hit after warm-up — the bench would time the wrong path")
-	}
-	return op
 }
 
 // setupIntrospectOff exercises exactly the instrumentation the sweep worker

@@ -34,7 +34,6 @@ import (
 
 	"hawkeye/internal/kernel"
 	"hawkeye/internal/mem"
-	"hawkeye/internal/memo"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/trace"
 	"hawkeye/internal/vmm"
@@ -121,13 +120,6 @@ type Trace struct {
 	broken bool // capture hit an unencodable stream; replay disabled
 	chunks []traceChunk
 
-	// Chunk-effect memoization (DESIGN §14): memos[i] is chunk i's
-	// footprint + effect-variant store, built at capture and shared by
-	// every replaying machine. budget caps the bytes concurrently
-	// published variants may accumulate across the whole trace.
-	memos  []*memo.Chunk
-	budget *memo.Budget
-
 	// Arena slabs: starts and counts of a chunk share one []uint32 (starts
 	// first, counts after), write flags live in a parallel []uint8. Chunk
 	// descriptors slice into the slab current at capture time; later slab
@@ -141,20 +133,19 @@ type Trace struct {
 // SampleRun served through it adopts the consumer's RNG state and chunk
 // size.
 func NewTrace(g Geometry) *Trace {
-	return &Trace{geom: g, master: g.sampler(), budget: memo.NewBudget(0)}
+	return &Trace{geom: g, master: g.sampler()}
 }
 
 // Geom returns the geometry the trace records.
 func (t *Trace) Geom() Geometry { return t.geom }
 
 // Bytes reports the trace's approximate heap footprint: arena slab
-// capacity, per-chunk descriptor and footprint overhead, plus the bytes
-// of published effect variants. Monotonically non-decreasing as the
-// trace extends and records.
+// capacity plus per-chunk descriptor overhead. Monotonically non-decreasing
+// as the trace extends.
 func (t *Trace) Bytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.bytes + t.budget.Used()
+	return t.bytes
 }
 
 // Chunks reports how many quanta have been captured so far.
@@ -244,7 +235,6 @@ func (t *Trace) chunkFor(idx, n int, r *sim.Rand) (ch traceChunk, hit, ok bool) 
 			// lossy record. Consumers fall back to live sampling.
 			t.broken = true
 			t.chunks = nil
-			t.memos = nil
 			runs = runs[:0]
 			captureBufPool.Put(&runs)
 			return traceChunk{}, false, false
@@ -266,16 +256,6 @@ func (t *Trace) chunkFor(idx, n int, r *sim.Rand) (ch traceChunk, hit, ok bool) 
 	}
 	t.chunks = append(t.chunks, ch)
 	t.bytes += traceChunkOverhead
-	// Precompute the chunk's memo footprint while the runs are in hand.
-	// Chunk runs are single-page dwells (strided runs broke the trace
-	// above), so each run lands in exactly one region slot.
-	fb := memo.NewFootprintBuilder()
-	for i := range runs {
-		fb.AddRun(int64(runs[i].Start), runs[i].Count, runs[i].Write)
-	}
-	foot := fb.Finish()
-	t.memos = append(t.memos, memo.NewChunk(foot, t.budget))
-	t.bytes += foot.Bytes() + traceChunkOverhead
 	runs = runs[:0]
 	captureBufPool.Put(&runs)
 	return ch, false, true
@@ -293,11 +273,9 @@ type ReplaySampler struct {
 	live     Sampler // fallback, synchronized at chunk boundaries
 	liveMode bool
 	hits     *trace.Counter // nil-safe: replayed-chunk tally
-	peeked   traceChunk     // chunk PeekChunk validated; consumed by AdvanceChunk
 }
 
 var _ kernel.RunSampler = (*ReplaySampler)(nil)
-var _ kernel.MemoSampler = (*ReplaySampler)(nil)
 
 // NewReplaySampler returns a replay cursor at the top of the trace. hits
 // (nil-safe) counts chunks served from the record.
@@ -345,43 +323,6 @@ func (rs *ReplaySampler) SampleRun(r *sim.Rand, buf []kernel.AccessRun, n int) [
 		rs.liveMode = true
 	}
 	return rs.live.SampleRun(r, buf, n)
-}
-
-// PeekChunk implements kernel.MemoSampler: it returns the memo handle of
-// the chunk the next SampleRun call would serve from the record, without
-// consuming anything. ok=false whenever that call could not be served
-// (live fallback, capture frontier, chunk-size or RNG-state mismatch) —
-// the kernel then takes the ordinary sampling path.
-func (rs *ReplaySampler) PeekChunk(r *sim.Rand, n int) (*memo.Chunk, bool) {
-	if rs.liveMode {
-		return nil, false
-	}
-	t := rs.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.broken || t.n == 0 || n != t.n || rs.idx >= len(t.chunks) {
-		return nil, false
-	}
-	ch := t.chunks[rs.idx]
-	if r.State() != ch.pre {
-		return nil, false
-	}
-	rs.peeked = ch
-	return t.memos[rs.idx], true
-}
-
-// AdvanceChunk implements kernel.MemoSampler: after a memoized apply, it
-// consumes the chunk PeekChunk validated, replicating SampleRun's replay
-// bookkeeping — RNG jump to the recorded post-state, fallback dwell sync,
-// hit tallies — without decoding any runs. Must only follow a successful
-// PeekChunk with the same RNG.
-func (rs *ReplaySampler) AdvanceChunk(r *sim.Rand) {
-	ch := rs.peeked
-	rs.idx++
-	r.SetState(ch.post)
-	rs.live.seqPos, rs.live.seqCnt = ch.seqPos, ch.seqCnt
-	rs.hits.Inc()
-	replayHits.Inc()
 }
 
 // Live reports whether the sampler has dropped to its live fallback.

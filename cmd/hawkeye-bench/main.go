@@ -104,7 +104,7 @@ func runSweep(sf sweepFlags, opts experiments.Options, parallel int, jsonOut str
 			}
 			eta := "-"
 			if rate > 0 {
-				eta = (time.Duration(float64(total-done)/rate*float64(time.Second))).Round(time.Second).String()
+				eta = (time.Duration(float64(total-done) / rate * float64(time.Second))).Round(time.Second).String()
 			}
 			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d cells (%.1f cells/s, ETA %s)   ", done, total, rate, eta)
 			if done == total {

@@ -9,13 +9,13 @@ import (
 )
 
 func wallClock() time.Duration {
-	t0 := time.Now() // want `time\.Now reads the wall clock`
+	t0 := time.Now()      // want `time\.Now reads the wall clock`
 	return time.Since(t0) // want `time\.Since reads the wall clock`
 }
 
 func globalRand() int {
 	rand.Shuffle(3, func(i, j int) {}) // want `global math/rand`
-	return rand.Intn(10) // want `global math/rand`
+	return rand.Intn(10)               // want `global math/rand`
 }
 
 // privateRand is fine: a seeded, private source is deterministic.

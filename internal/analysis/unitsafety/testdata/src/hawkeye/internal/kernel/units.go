@@ -16,7 +16,7 @@ func badShift(p mem.Pages) int64 {
 }
 
 func badFactor(b mem.Bytes) mem.Pages {
-	pages := b / 4096 // want `mem\.Bytes / 4096 re-derives`
+	pages := b / 4096       // want `mem\.Bytes / 4096 re-derives`
 	return mem.Pages(pages) // want `direct conversion mem\.Bytes -> mem\.Pages`
 }
 

@@ -67,6 +67,11 @@ type Allocator struct {
 	heads  [MaxOrder + 1][2]FrameID
 	counts [MaxOrder + 1][2]int64 // free blocks per order per class
 
+	// occ holds the free/anon frame counts of each 2 MB chunk, kept current
+	// at every frame-tag write (see moveOcc). It is a plain slice, not a
+	// cow.Table: it is a few bytes per chunk, copied whole on Clone/Fork.
+	occ []chunkOcc
+
 	totalPages    Pages
 	freePages     Pages
 	zeroFreePages Pages
@@ -125,6 +130,10 @@ func NewAllocator(totalBytes Bytes) *Allocator {
 		// Pre-size the page-cache LIFO for the fragmentation experiments,
 		// which push every frame of the machine through it.
 		fileLIFO: cow.NewTable[FrameID](int(pages), 0),
+		occ:      make([]chunkOcc, pages.Regions()),
+	}
+	for c := range a.occ {
+		a.occ[c].free = HugePages
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		a.heads[o][classZero] = NoFrame
@@ -321,6 +330,18 @@ func (a *Allocator) setBlockZero(head FrameID, order int) {
 	}
 }
 
+// moveOcc records that the n frames starting at head, a buddy-aligned span,
+// changed tag from one to another. A span of more than one chunk covers
+// whole chunks.
+func (a *Allocator) moveOcc(head FrameID, n int, from, to Tag) {
+	for c := chunkOf(head); n > 0; c++ {
+		k := min(n, HugePages)
+		a.occ[c].add(from, -k)
+		a.occ[c].add(to, k)
+		n -= k
+	}
+}
+
 // insertFree links a block onto the zero or non-zero free list. The class is
 // derived from the per-frame content bits so it can never go stale (a block
 // of all-zero frames must be allocatable without re-zeroing even if it was
@@ -331,6 +352,8 @@ func (a *Allocator) insertFree(head FrameID, order int) {
 		cls = classZero
 	}
 	f := a.frames.Mut(int(head))
+	// Callers only insert frames already tagged free, so this write never
+	// changes a tag and the per-chunk occupancy counts stay current.
 	f.tag = TagFree
 	f.freeHead = true
 	f.order = uint8(order)
@@ -466,6 +489,7 @@ func (a *Allocator) commitAlloc(head FrameID, order int, tag Tag) {
 		}
 		i += FrameID(len(span))
 	}
+	a.moveOcc(head, int(n), TagFree, tag)
 	a.zeroFreePages -= Pages(a.countBlockZero(head, order))
 	a.freePages -= Pages(n)
 	if alloc := a.totalPages - a.freePages; alloc > a.peakAllocated {
@@ -528,6 +552,7 @@ func (a *Allocator) Free(head FrameID, order int, dirty bool) {
 	} else {
 		a.zeroFreePages += Pages(a.countBlockZero(head, order))
 	}
+	a.moveOcc(head, int(n), tag, TagFree)
 	a.tagPages[tag] -= Pages(n)
 	a.freePages += Pages(n)
 	a.coalesce(head, order)
@@ -618,11 +643,18 @@ func (a *Allocator) DrainAllFile() []FrameID {
 	// page cache; the free lists are empty. Stale order/freeClass metadata
 	// on former split buddies is fine — those fields are only read while
 	// freeHead is set, and insertFree rewrites them on the next free.
-	for i := 0; i < int(a.totalPages); i++ {
-		if a.frames.Get(i).tag == TagFree {
-			f := a.frames.Mut(i)
-			f.tag = TagFile
-			f.freeHead = false
+	// Chunks with no free frame are skipped whole.
+	for c := range a.occ {
+		if a.occ[c].free == 0 {
+			continue
+		}
+		a.occ[c].free = 0
+		for i := chunkBase(c); i < chunkBase(c+1); i++ {
+			if a.frames.Get(int(i)).tag == TagFree {
+				f := a.frames.Mut(int(i))
+				f.tag = TagFile
+				f.freeHead = false
+			}
 		}
 	}
 	for o := 0; o <= MaxOrder; o++ {
@@ -667,6 +699,7 @@ func (a *Allocator) RetagFrame(id FrameID, tag Tag) {
 	}
 	a.tagPages[f.tag]--
 	a.tagPages[tag]++
+	a.moveOcc(id, 1, f.tag, tag)
 	f.tag = tag
 }
 
@@ -694,8 +727,9 @@ func (a *Allocator) MarkZeroed(id FrameID) { a.setFrameZeroed(id) }
 func (a *Allocator) MarkZeroedBlock(head FrameID, order int) { a.setBlockZero(head, order) }
 
 // CheckConsistency validates allocator invariants: free-list contents must
-// sum to freePages, per-frame zero bits to zeroFreePages, and every linked
-// block must be properly aligned, in range, and marked free. It returns a
+// sum to freePages, per-frame zero bits to zeroFreePages, per-chunk
+// occupancy counts to the chunk's frame tags, and every linked block must
+// be properly aligned, in range, and marked free. It returns a
 // description of the first violation, or "" if consistent. Intended for
 // tests and debugging; cost is O(frames).
 func (a *Allocator) CheckConsistency() string {
@@ -723,12 +757,20 @@ func (a *Allocator) CheckConsistency() string {
 		return fmt.Sprintf("free-list pages %d != freePages %d (leak of %d)", listed, a.freePages, a.freePages-listed)
 	}
 	var zeroFree, free Pages
-	for i := 0; i < int(a.totalPages); i++ {
-		if a.frames.Get(i).tag == TagFree {
-			free++
-			if a.frameZeroed(FrameID(i)) {
-				zeroFree++
+	for c := range a.occ {
+		var occ chunkOcc
+		for i := chunkBase(c); i < chunkBase(c+1); i++ {
+			tag := a.frames.Get(int(i)).tag
+			occ.add(tag, 1)
+			if tag == TagFree {
+				free++
+				if a.frameZeroed(i) {
+					zeroFree++
+				}
 			}
+		}
+		if occ != a.occ[c] {
+			return fmt.Sprintf("chunk %d occupancy %+v, frame tags give %+v", c, a.occ[c], occ)
 		}
 	}
 	if free != a.freePages {

@@ -89,3 +89,31 @@ func BenchmarkCompactionPass(b *testing.B) {
 		a.Compact(8)
 	}
 }
+
+// BenchmarkCompactFail times the failed-promotion path: a Compact(1) pass
+// over a 1/12-scale (8 GB) machine where no chunk can be compacted. Every
+// chunk holds anonymous frames with every 7th frame free, plus one kernel
+// frame in its last slot that pins it.
+func BenchmarkCompactFail(b *testing.B) {
+	a := NewAllocator(8 << 30)
+	a.SetMover(moverFunc(func(old, new FrameID) bool { return true }))
+	for {
+		if _, err := a.Alloc(0, PreferZero, TagAnon); err != nil {
+			break
+		}
+	}
+	for id := FrameID(0); id < FrameID(a.TotalPages()); id++ {
+		switch {
+		case id%HugePages == HugePages-1:
+			a.RetagFrame(id, TagKernel)
+		case id%7 == 0:
+			a.Free(id, 0, true)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := a.Compact(1); res.BlocksBuilt != 0 {
+			b.Fatalf("built %d blocks on a pinned machine", res.BlocksBuilt)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"slices"
+
 	"hawkeye/internal/trace"
 )
 
@@ -61,6 +63,7 @@ func (a *Allocator) cloneHeader() *Allocator {
 	return &Allocator{
 		heads:  a.heads,
 		counts: a.counts,
+		occ:    slices.Clone(a.occ),
 
 		totalPages:    a.totalPages,
 		freePages:     a.freePages,
@@ -77,7 +80,10 @@ func (a *Allocator) cloneHeader() *Allocator {
 	}
 }
 
-// HeapBytes estimates the heap footprint of the allocator's tables.
+// HeapBytes estimates the heap footprint of the allocator's tables. The
+// per-chunk occupancy slice is left out, like the other KB-scale state:
+// counting it would change the snapshot cache's byte accounting, and with
+// it the cache's evictions and its snapshot_cache_bytes counter.
 func (a *Allocator) HeapBytes() int64 {
 	return a.frames.HeapBytes() + a.next.HeapBytes() + a.prev.HeapBytes() +
 		a.zeroBits.HeapBytes() + a.fileLIFO.HeapBytes()

@@ -23,34 +23,24 @@ func (a *Allocator) Compact(want int) CompactResult {
 		return res
 	}
 	movedBefore := a.MovedFrames
-	chunk := FrameID(HugePages)
-	for base := FrameID(0); base+chunk <= FrameID(a.totalPages) && res.BlocksBuilt < want; base += chunk {
+	for c := 0; c < len(a.occ) && res.BlocksBuilt < want; c++ {
 		res.Scanned++
-		free, movable := int64(0), int64(0)
-		ok := true
-		for i := base; i < base+chunk; i++ {
-			switch a.frames.Get(int(i)).tag {
-			case TagFree:
-				free++
-			case TagAnon:
-				movable++
-			default:
-				ok = false
-			}
-			if !ok {
-				break
-			}
+		// The chunk's occupancy counts are current (earlier evacuations in
+		// this pass included), so they stand in for a scan of its tags.
+		occ := a.occ[c]
+		if int(occ.free)+int(occ.anon) < HugePages { // holds an unmovable frame
+			continue
 		}
-		if !ok || movable == 0 || free == 0 {
+		if occ.anon == 0 || occ.free == 0 {
 			continue
 		}
 		// Skip chunks that are mostly allocated: migrating nearly a whole
 		// chunk costs more than it recovers, and those frames serve better
 		// as migration destinations for sparser chunks.
-		if movable > HugePages*3/4 {
+		if occ.anon > HugePages*3/4 {
 			continue
 		}
-		if a.evacuate(base, chunk) {
+		if a.evacuate(chunkBase(c), HugePages) {
 			res.BlocksBuilt++
 			a.CompactedBlocks++
 		}
@@ -113,6 +103,7 @@ func (a *Allocator) evacuate(base, n FrameID) bool {
 		}
 		src := a.frames.Mut(int(i))
 		src.tag = TagFree
+		a.moveOcc(i, 1, TagAnon, TagFree)
 		a.clearFrameZeroed(i)
 		a.tagPages[TagAnon]--
 		a.freePages++

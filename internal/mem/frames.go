@@ -72,6 +72,31 @@ type frame struct {
 	freeClass uint8 // when head of a free block: which split list it is on
 }
 
+// chunkOcc counts the free and anonymous frames of one 2 MB chunk. The
+// allocator keeps one per chunk, current at every frame-tag transition, so
+// compaction picks candidate chunks from two counters instead of reading
+// 512 frame tags. A chunk holds at most 512 frames, so uint16 suffices.
+type chunkOcc struct {
+	free, anon uint16
+}
+
+// add moves d frames into (d > 0) or out of (d < 0) the count for tag t.
+// Tags other than free and anon are not counted.
+func (o *chunkOcc) add(t Tag, d int) {
+	switch t {
+	case TagFree:
+		o.free += uint16(d)
+	case TagAnon:
+		o.anon += uint16(d)
+	}
+}
+
+// chunkOf returns the index of the 2 MB chunk holding frame id.
+func chunkOf(id FrameID) int { return int(id >> HugeOrder) }
+
+// chunkBase returns the first frame of chunk c.
+func chunkBase(c int) FrameID { return FrameID(c) << HugeOrder }
+
 // The quantity types below keep the simulator's unit conversions honest:
 // page counts, region counts and byte sizes are distinct defined types, and
 // the only place the 4 KB / 2 MB geometry may appear is in the named helper

@@ -73,9 +73,22 @@ func makeKey(pid int32, page int64, huge bool) entryKey {
 }
 
 func (k entryKey) valid() bool { return k != 0 }
-func (k entryKey) pid() int32  { return int32(k >> 43 & (1<<20 - 1)) }
 func (k entryKey) huge() bool  { return k&(1<<42) != 0 }
 func (k entryKey) page() int64 { return int64(k & (1<<42 - 1)) }
+
+// owner returns the valid bit and pid fields of the key (bits 63..43) as
+// one word, so a flush matches both with a single compare.
+func (k entryKey) owner() entryKey { return k >> 43 }
+
+// ownerOf returns the owner() value of every valid key of pid. ok is false
+// for a pid no key can carry (makeKey rejects it), which therefore owns
+// no entries.
+func ownerOf(pid int32) (owner entryKey, ok bool) {
+	if uint32(pid) >= 1<<20 {
+		return 0, false
+	}
+	return 1<<20 | entryKey(pid), true
+}
 
 // setAssoc is a set-associative array with LRU replacement. The set count is
 // always a power of two (like real TLB hardware), so indexing is a mask
@@ -270,9 +283,12 @@ func (s *setAssoc) touchRepeats(key entryKey, page int64, n int64) {
 // than a callback-per-entry matcher) keeps this allocation-free and
 // branch-predictable — it runs on every process exit and large unmap.
 func (s *setAssoc) invalidatePID(pid int32) {
+	owner, ok := ownerOf(pid)
+	if !ok {
+		return
+	}
 	for i := range s.keys {
-		k := s.keys[i]
-		if k.valid() && k.pid() == pid {
+		if s.keys[i].owner() == owner {
 			s.keys[i] = 0
 			s.lrus[i] = 0
 		}
@@ -282,9 +298,13 @@ func (s *setAssoc) invalidatePID(pid int32) {
 // invalidateRange drops a process's base entries with page in [lo, hi) and
 // its huge entries with page == region.
 func (s *setAssoc) invalidateRange(pid int32, lo, hi, region int64) {
+	owner, ok := ownerOf(pid)
+	if !ok {
+		return
+	}
 	for i := range s.keys {
 		k := s.keys[i]
-		if !k.valid() || k.pid() != pid {
+		if k.owner() != owner {
 			continue
 		}
 		if k.huge() {

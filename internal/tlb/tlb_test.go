@@ -171,3 +171,39 @@ func TestSetAssocDegenerate(t *testing.T) {
 		t.Fatalf("LRU retention wrong: %d hits, want 8", hits)
 	}
 }
+
+// TestInvalidateOwnerCompare checks the flush loops' one-word owner match
+// against decoding the valid bit and pid field of each key, including the
+// extreme in-range pids and out-of-range ones that must flush nothing.
+func TestInvalidateOwnerCompare(t *testing.T) {
+	pids := []int32{0, 1, 2, 1<<20 - 1}
+	fill := func() *setAssoc {
+		s := newSetAssoc(256, 8)
+		r := sim.NewRand(5)
+		for i := 0; i < 400; i++ {
+			s.insert(pids[r.Intn(len(pids))], int64(r.Intn(4096)), r.Intn(4) == 0)
+		}
+		return s
+	}
+	owned := func(k entryKey, pid int32) bool {
+		return k.valid() && int32(k>>43&(1<<20-1)) == pid
+	}
+	for _, pid := range append(pids, -1, 1<<20, 1<<20+1) {
+		s, ref := fill(), fill()
+		s.invalidatePID(pid)
+		for i, k := range ref.keys {
+			if want := !owned(k, pid); (s.keys[i] == k) != want {
+				t.Fatalf("invalidatePID(%d): slot %d key %#x kept=%v, want %v", pid, i, k, s.keys[i] == k, want)
+			}
+		}
+		s = fill()
+		const lo, hi, region = 100, 900, 3
+		s.invalidateRange(pid, lo, hi, region)
+		for i, k := range ref.keys {
+			drop := owned(k, pid) && (k.huge() && k.page() == region || !k.huge() && k.page() >= lo && k.page() < hi)
+			if (s.keys[i] == k) == drop {
+				t.Fatalf("invalidateRange(%d): slot %d key %#x kept=%v, want %v", pid, i, k, s.keys[i] == k, !drop)
+			}
+		}
+	}
+}

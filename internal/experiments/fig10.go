@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"hawkeye/internal/core"
 	"hawkeye/internal/kernel"
 	"hawkeye/internal/mem"
@@ -126,6 +124,3 @@ func (c *churnProgram) Step(k *kernel.Kernel, p *kernel.Proc) (sim.Time, bool, e
 	}
 	return consumed + sim.Millisecond, false, nil
 }
-
-var _ = mem.PageSize
-var _ = fmt.Sprint

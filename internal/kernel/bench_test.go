@@ -99,3 +99,22 @@ func BenchmarkSnapshotForkCOW(b *testing.B) {
 
 // benchForkSink keeps forked machines observable so Fork cannot be elided.
 var benchForkSink *Kernel
+
+// BenchmarkMadviseHugeRegion measures madvise(DONTNEED) of one whole
+// huge-mapped region: the zap, the page-by-page free of its 512 frames and
+// the TLB shootdown. The huge fault that maps the region again runs
+// outside the timer.
+func BenchmarkMadviseHugeRegion(b *testing.B) {
+	k := newTestKernel(b, 64, DecideHuge)
+	p := k.Spawn("bench", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := k.Touch(p, 0, true); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		k.Madvise(p, 0, mem.HugePages)
+	}
+}

@@ -559,6 +559,91 @@ func (a *Allocator) Free(head FrameID, order int, dirty bool) {
 	a.noteWatermark()
 }
 
+// FreeHugeFrames frees the frames of an allocated huge block (head aligned
+// to HugeOrder, every frame carrying the head's tag) with exactly the
+// effect of Free(head+i, 0, dirty bit i) for i = 0, 1, ..., HugePages-1:
+// the release of a split huge mapping, page by page, without the per-page
+// buddy merges.
+//
+// Ascending order-0 frees rebuild the block bottom-up. Each left half is
+// inserted on a free list and unlinked again when its right half
+// completes, and unlinking keeps the order of the rest of the list. So
+// after the last frame every list is as it was, apart from the one
+// coalesce(head, HugeOrder) that the last frame's merge chain ends in.
+// The transient inserts did write the prev link of the list heads they
+// pushed down, though; touchSplitHeads repeats those writes so the same
+// copy-on-write chunks materialize.
+func (a *Allocator) FreeHugeFrames(head FrameID, dirty *HugeMask) {
+	if head%HugePages != 0 {
+		panic(fmt.Sprintf("mem: FreeHugeFrames of unaligned block %d", head))
+	}
+	tag := a.frames.Get(int(head)).tag
+	for i := FrameID(0); i < HugePages; {
+		span := a.frames.MutSpan(int(head + i))
+		if rem := int(HugePages - i); len(span) > rem {
+			span = span[:rem]
+		}
+		for j := range span {
+			f := &span[j]
+			if f.tag == TagFree {
+				panic(fmt.Sprintf("mem: double free of frame %d", head+i+FrameID(j)))
+			}
+			if f.tag != tag {
+				panic(fmt.Sprintf("mem: FreeHugeFrames spans tags %v and %v", tag, f.tag))
+			}
+			f.tag = TagFree
+		}
+		i += FrameID(len(span))
+	}
+	// A dirty frame loses its zero bit; a clean one counts toward
+	// zeroFreePages if its bit is set.
+	var zero HugeMask
+	for w := range zero {
+		idx := int(head>>6) + w
+		old := a.zeroBits.Get(idx)
+		zero[w] = old &^ dirty[w]
+		if zero[w] != old {
+			a.zeroBits.Set(idx, zero[w])
+		}
+		a.zeroFreePages += Pages(bits.OnesCount64(zero[w]))
+	}
+	a.moveOcc(head, HugePages, tag, TagFree)
+	a.tagPages[tag] -= HugePages
+	if a.tr == nil {
+		a.freePages += HugePages
+	} else {
+		// Per frame, so watermark_cross events report the same levels.
+		for i := 0; i < HugePages; i++ {
+			a.freePages++
+			a.noteWatermark()
+		}
+	}
+	a.touchSplitHeads(&zero)
+	a.coalesce(head, HugeOrder)
+}
+
+// touchSplitHeads rewrites (to its unchanged -1) the prev link of each free
+// list head that FreeHugeFrames' page-by-page equivalent would have pushed
+// down and restored: at every order below HugeOrder, the lists that the
+// block's left halves land on, given the block's final zero bits.
+func (a *Allocator) touchSplitHeads(zero *HugeMask) {
+	for o := 0; o < HugeOrder; o++ {
+		var used [2]bool
+		for left := 0; left < HugePages && !(used[classZero] && used[classNonZero]); left += 2 << o {
+			if zero.allSet(left, o) {
+				used[classZero] = true
+			} else {
+				used[classNonZero] = true
+			}
+		}
+		for cls, u := range used {
+			if h := a.heads[o][cls]; u && h != NoFrame {
+				a.prev.Set(int(h), -1)
+			}
+		}
+	}
+}
+
 // coalesce merges the freed block with free buddies and inserts the result.
 func (a *Allocator) coalesce(head FrameID, order int) {
 	for order < MaxOrder {

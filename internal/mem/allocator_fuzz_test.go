@@ -14,7 +14,8 @@ import (
 // the FMFI range. Every Compact is also run on a Clone of the pre-state by
 // referenceCompact, the per-frame-scan compactor the occupancy counts
 // replaced; both must report the same CompactResult and leave identical
-// allocators. A Seal+Fork mid-sequence continues on the fork, and the
+// allocators. Every FreeHugeFrames is checked the same way against 512
+// ascending order-0 Frees on a Clone. A Seal+Fork mid-sequence continues on the fork, and the
 // sealed parent must end the sequence unchanged.
 //
 // Input layout: one config byte (bit 3 picks an 8 or 16 MB machine, bits
@@ -44,6 +45,7 @@ const (
 	opFork            // Seal, then continue on a Fork
 	opFragment        // fill free memory with order-0 anon, keep 1 in x%7+2
 	opMark            // MarkDirty (y&1) or MarkZeroedBlock on live block x
+	opFreeHuge        // FreeHugeFrames on a live anon order-9 block from x, dirty mask from y
 	numOps
 )
 
@@ -229,6 +231,28 @@ func runFuzzProgram(t *testing.T, data []byte) {
 			} else {
 				a.MarkZeroedBlock(b.Head, b.Order)
 			}
+		case opFreeHuge:
+			i := -1
+			for k := range m.live {
+				j := (x + k) % len(m.live)
+				if b := m.live[j]; b.Order == HugeOrder && a.FrameTag(b.Head) == TagAnon {
+					i = j
+					break
+				}
+			}
+			if i < 0 {
+				break
+			}
+			b := m.untrack(i)
+			dirty := fuzzDirtyMask(x, y)
+			ref := a.Clone()
+			for f := 0; f < HugePages; f++ {
+				ref.Free(b.Head+FrameID(f), 0, dirty[f>>6]&(1<<(f&63)) != 0)
+			}
+			a.FreeHugeFrames(b.Head, &dirty)
+			if d := diffObservable(a, ref); d != "" {
+				t.Fatalf("op %d: FreeHugeFrames(%d) differs from 512 order-0 frees: %s", step/3, b.Head, d)
+			}
 		}
 		if msg := a.CheckConsistency(); msg != "" {
 			t.Fatalf("op %d (code %d): %s", step/3, op, msg)
@@ -281,10 +305,38 @@ func referenceCompact(a *Allocator, want int) CompactResult {
 	return res
 }
 
+// fuzzDirtyMask derives the dirty mask of an opFreeHuge from its operands:
+// y%4 picks all clean, all dirty, random words, or sparse words (half of
+// them clean, so some left halves of every order stay zero-class).
+func fuzzDirtyMask(x, y int) HugeMask {
+	var m HugeMask
+	r := sim.NewRand(uint64(x<<8 | y))
+	for w := range m {
+		switch y % 4 {
+		case 1:
+			m[w] = ^uint64(0)
+		case 2:
+			m[w] = r.Uint64()
+		case 3:
+			if r.Intn(2) == 0 {
+				m[w] = r.Uint64() & r.Uint64() & r.Uint64()
+			}
+		}
+	}
+	return m
+}
+
 // diffAllocators describes the first difference between two allocators'
 // complete state — scalars, free lists, occupancy counts and every
 // per-frame table entry — or returns "".
-func diffAllocators(a, b *Allocator) string {
+func diffAllocators(a, b *Allocator) string { return diffState(a, b, false) }
+
+// diffObservable is diffAllocators restricted to state a later operation
+// can read: a frame's order, class and list links count only while it
+// heads a free block, since insertFree rewrites them before any read.
+func diffObservable(a, b *Allocator) string { return diffState(a, b, true) }
+
+func diffState(a, b *Allocator, observable bool) string {
 	type scalars struct {
 		heads                                  [MaxOrder + 1][2]FrameID
 		counts                                 [MaxOrder + 1][2]int64
@@ -303,10 +355,20 @@ func diffAllocators(a, b *Allocator) string {
 	if !slices.Equal(a.occ, b.occ) {
 		return "per-chunk occupancy differs"
 	}
+	type frameState struct {
+		f          frame
+		next, prev int32
+	}
+	state := func(x *Allocator, i int) frameState {
+		s := frameState{x.frames.Get(i), x.next.Get(i), x.prev.Get(i)}
+		if observable && !s.f.freeHead {
+			s = frameState{f: frame{tag: s.f.tag}}
+		}
+		return s
+	}
 	for i := 0; i < int(a.totalPages); i++ {
-		if a.frames.Get(i) != b.frames.Get(i) || a.next.Get(i) != b.next.Get(i) || a.prev.Get(i) != b.prev.Get(i) {
-			return fmt.Sprintf("frame %d: %+v next %d prev %d vs %+v next %d prev %d", i,
-				a.frames.Get(i), a.next.Get(i), a.prev.Get(i), b.frames.Get(i), b.next.Get(i), b.prev.Get(i))
+		if sa, sb := state(a, i), state(b, i); sa != sb {
+			return fmt.Sprintf("frame %d: %+v vs %+v", i, sa, sb)
 		}
 	}
 	for w := 0; w < a.zeroBits.Len(); w++ {
@@ -366,6 +428,12 @@ func fuzzSeeds() [][]byte {
 		// TestPreZeroCycle: dirty a huge block, pre-zero it piecewise.
 		prog(0, fuzzOp(opAlloc, HugeOrder, 0), fuzzOp(opFree, 0, 1), fuzzOp(opPrezero, HugeOrder, 1),
 			fuzzOp(opPrezero, 3, 1), fuzzOp(opPrezero, 10, 0), fuzzOp(opPrezero, 0, 1)),
+		// Huge blocks freed page by page: all clean, all dirty, random and
+		// sparse masks, with the order-9 buddy busy or free (an order-10
+		// merge), before and after a fork.
+		prog(0, fuzzOp(opAlloc, HugeOrder, 0), fuzzOp(opAlloc, HugeOrder, 1), fuzzOp(opAlloc, HugeOrder, 0),
+			fuzzOp(opMark, 1, 1), fuzzOp(opFreeHuge, 0, 2), fuzzOp(opAlloc, 0, 1), fuzzOp(opFreeHuge, 1, 3),
+			fuzzOp(opFork, 0, 0), fuzzOp(opFreeHuge, 0, 1), fuzzOp(opAlloc, HugeOrder, 1), fuzzOp(opFreeHuge, 0, 0)),
 		// Fork mid-sequence, then compact, retag and free on the fork.
 		prog(8, fuzzOp(opFragment, 5, 1), fuzzOp(opMark, 3, 1), fuzzOp(opFork, 0, 0), fuzzOp(opCompact, 2, 0),
 			fuzzOp(opRetag, 1, 1), fuzzOp(opFree, 7, 0), fuzzOp(opFork, 0, 0), fuzzOp(opMark, 2, 0), fuzzOp(opCompact, 7, 0)),

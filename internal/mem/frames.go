@@ -91,6 +91,28 @@ func (o *chunkOcc) add(t Tag, d int) {
 	}
 }
 
+// HugeMask is a bitmap over the frames of one huge block: bit i of word
+// i/64 stands for frame head+i.
+type HugeMask [HugePages / 64]uint64
+
+// Set marks frame head+i.
+func (m *HugeMask) Set(i int) { m[i>>6] |= 1 << (uint(i) & 63) }
+
+// allSet reports whether every bit of the buddy-aligned 2^order-frame
+// block at offset i is set.
+func (m *HugeMask) allSet(i, order int) bool {
+	if order < 6 {
+		mask := (uint64(1)<<(1<<order) - 1) << (uint(i) & 63)
+		return m[i>>6]&mask == mask
+	}
+	for w := i >> 6; w < (i+1<<order)>>6; w++ {
+		if m[w] != ^uint64(0) {
+			return false
+		}
+	}
+	return true
+}
+
 // chunkOf returns the index of the 2 MB chunk holding frame id.
 func chunkOf(id FrameID) int { return int(id >> HugeOrder) }
 

@@ -104,12 +104,18 @@ func ownerOf(pid int32) (owner entryKey, ok bool) {
 // min-lru scan: among invalid slots the strict < comparison picks the first
 // one, and any invalid slot beats any valid one — exactly the "first
 // invalid, else least recently used" policy.
+//
+// flushed is the owner() of the process invalidatePID last flushed (0 =
+// none; every valid owner is nonzero). The array holds no entry of that
+// owner until fill or insert installs one, which resets it, so until then
+// a flush of that owner returns without scanning.
 type setAssoc struct {
-	keys  []entryKey // nsets × assoc, set i at [i*assoc, (i+1)*assoc)
-	lrus  []uint64   // recency stamps, same layout
-	mask  uint64     // nsets - 1
-	assoc int
-	tick  uint64
+	keys    []entryKey // nsets × assoc, set i at [i*assoc, (i+1)*assoc)
+	lrus    []uint64   // recency stamps, same layout
+	mask    uint64     // nsets - 1
+	assoc   int
+	tick    uint64
+	flushed entryKey
 }
 
 func newSetAssoc(entries, assoc int) *setAssoc {
@@ -163,6 +169,14 @@ func (s *setAssoc) insert(pid int32, page int64, huge bool) {
 	}
 	s.keys[victim] = key
 	s.lrus[victim] = s.tick
+	s.noteOwner(key)
+}
+
+// noteOwner forgets a flushed owner once one of its entries is installed.
+func (s *setAssoc) noteOwner(key entryKey) {
+	if key.owner() == s.flushed {
+		s.flushed = 0
+	}
 }
 
 // probe is lookup fused with victim selection, answering the lookup and, on
@@ -262,6 +276,7 @@ func (s *setAssoc) fill(victim int, key entryKey, page int64) {
 	base := s.setBase(page)
 	s.keys[base+victim] = key
 	s.lrus[base+victim] = s.tick
+	s.noteOwner(key)
 }
 
 // touchRepeats applies n guaranteed L1 hits to an entry in closed form: n
@@ -284,7 +299,7 @@ func (s *setAssoc) touchRepeats(key entryKey, page int64, n int64) {
 // branch-predictable — it runs on every process exit and large unmap.
 func (s *setAssoc) invalidatePID(pid int32) {
 	owner, ok := ownerOf(pid)
-	if !ok {
+	if !ok || owner == s.flushed {
 		return
 	}
 	for i := range s.keys {
@@ -293,13 +308,14 @@ func (s *setAssoc) invalidatePID(pid int32) {
 			s.lrus[i] = 0
 		}
 	}
+	s.flushed = owner
 }
 
 // invalidateRange drops a process's base entries with page in [lo, hi) and
 // its huge entries with page == region.
 func (s *setAssoc) invalidateRange(pid int32, lo, hi, region int64) {
 	owner, ok := ownerOf(pid)
-	if !ok {
+	if !ok || owner == s.flushed {
 		return
 	}
 	for i := range s.keys {
@@ -370,11 +386,12 @@ func (t *TLB) Config() Config { return t.cfg }
 // copy's future victim choices match the original's exactly.
 func (s *setAssoc) clone() *setAssoc {
 	return &setAssoc{
-		keys:  append([]entryKey(nil), s.keys...),
-		lrus:  append([]uint64(nil), s.lrus...),
-		mask:  s.mask,
-		assoc: s.assoc,
-		tick:  s.tick,
+		keys:    append([]entryKey(nil), s.keys...),
+		lrus:    append([]uint64(nil), s.lrus...),
+		mask:    s.mask,
+		assoc:   s.assoc,
+		tick:    s.tick,
+		flushed: s.flushed,
 	}
 }
 

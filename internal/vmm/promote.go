@@ -224,7 +224,9 @@ func (v *VMM) BreakCOW(p *Process, r *Region, slot int, newFrame mem.FrameID) {
 
 // DontNeed releases [start, start+pages) as madvise(MADV_DONTNEED) does:
 // huge mappings covering the range are demoted first, then covered base
-// pages are unmapped and freed. Returns the number of pages released.
+// pages are unmapped and freed. A huge mapping the range covers whole is
+// zapped in one pass instead (see zapHuge). Returns the number of pages
+// released.
 func (v *VMM) DontNeed(p *Process, start VPN, pages mem.Pages) mem.Pages {
 	released := mem.Pages(0)
 	end := start.Advance(pages)
@@ -232,6 +234,11 @@ func (v *VMM) DontNeed(p *Process, start VPN, pages mem.Pages) mem.Pages {
 		r := p.region(RegionOf(vpn))
 		regionEnd := RegionOf(vpn).BaseVPN() + mem.HugePages
 		if r == nil {
+			vpn = regionEnd
+			continue
+		}
+		if r.Huge && vpn == RegionOf(vpn).BaseVPN() && end >= regionEnd {
+			released += v.zapHuge(p, r)
 			vpn = regionEnd
 			continue
 		}
@@ -257,4 +264,40 @@ func (v *VMM) DontNeed(p *Process, start VPN, pages mem.Pages) mem.Pages {
 		}
 	}
 	return released
+}
+
+// zapHuge releases a whole huge mapping with the end state of Demote
+// followed by UnmapBase(slot, true) for every slot in ascending order:
+// empty PTEs and slot bitmaps, every reverse-map cell of the block
+// written (so the same copy-on-write chunks materialize), RSS and the
+// huge-mapping count dropped, one demotion counted, and the frames freed
+// page by page through FreeHugeFrames. A huge region is never reserved,
+// so DontNeed's reservation check has nothing to add. Returns the pages
+// released.
+func (v *VMM) zapHuge(p *Process, r *Region) mem.Pages {
+	head := r.HugeFrame
+	var dirty mem.HugeMask
+	for i := 0; i < mem.HugePages; i++ {
+		if !v.Content.Get(head + mem.FrameID(i)).Zero() {
+			dirty.Set(i)
+		}
+	}
+	r.Huge = false
+	r.HugeFrame = mem.NoFrame
+	r.hugeFlags = 0
+	for i := range r.PTEs {
+		r.PTEs[i] = PTE{Frame: mem.NoFrame}
+	}
+	r.clearSlotBitmaps()
+	p.hugeMapped--
+	p.rss -= mem.HugePages
+	for i := 0; i < mem.HugePages; {
+		span := v.rmap.MutSpan(int(head) + i)
+		n := min(len(span), mem.HugePages-i)
+		clear(span[:n])
+		i += n
+	}
+	v.Alloc.FreeHugeFrames(head, &dirty)
+	p.Stats.Demotions++
+	return mem.HugePages
 }

@@ -354,9 +354,10 @@ func newKernel(o Options, pol kernel.Policy) *kernel.Kernel {
 // process-wide snapshot cache and each machine is forked from the frozen
 // result — bit-identical to fresh construction, minus the repeated warm-up.
 //
-// Unfragmented machines (keep <= 0) are always built directly: there is no
-// warm-up to amortize, and deep-copying a full-size machine image costs more
-// than constructing a fresh, mostly-empty one.
+// NoSnapshotCache builds every machine fresh instead; the snapshot layer
+// has no other copy strategy. Unfragmented machines (keep <= 0) are always
+// built directly: there is no warm-up to amortize, so caching their image
+// would hold its tables resident for no saved work.
 func newKernelFragmented(o Options, pol kernel.Policy, keep, pinned float64) *kernel.Kernel {
 	cfg := o.kernelConfig()
 	var k *kernel.Kernel

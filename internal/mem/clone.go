@@ -6,19 +6,17 @@ import (
 	"hawkeye/internal/trace"
 )
 
-// Snapshot/fork support for the allocator. Two flavors exist:
+// Snapshot/fork support for the allocator. Machines fork one way: Seal
+// freezes the tables in O(#chunks), after which Fork produces copies that
+// share every chunk until one side writes it. Clone is the deep copy: every
+// resident table chunk is duplicated up front, so the copy shares no
+// writable state with the original. Nothing in the simulator forks
+// machines with it; it is the independent reference the allocator's
+// differential tests (FuzzAllocatorOps) hold Fork and the fast paths to.
 //
-//   - Clone is the deep copy (PR 5 semantics): every resident table chunk
-//     is duplicated, so the copy shares no writable state with the
-//     original and neither side's writes ever copy-on-write against the
-//     other.
-//   - Seal + Fork is the copy-on-write path: Seal freezes the tables in
-//     O(#chunks), after which Fork produces copies that share every chunk
-//     until one side writes it.
-//
-// In both cases the trace recorder and the compaction Mover are NOT
-// carried over (both reference the machine the allocator belongs to); the
-// caller re-attaches them with SetTrace and SetMover on the new machine.
+// Neither copy carries over the trace recorder or the compaction Mover
+// (both reference the machine the allocator belongs to); the caller
+// re-attaches them with SetTrace and SetMover on the new machine.
 
 // Clone returns a deep copy of the allocator: free lists, per-frame state,
 // the zero-content bitmap, the page-cache LIFO and every statistic. The

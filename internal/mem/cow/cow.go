@@ -260,9 +260,11 @@ func (t *Table[T]) Fork() *Table[T] {
 // DeepClone returns a copy sharing no writable state with t: every
 // resident chunk is copied into a chunk owned by the clone. Background
 // chunks stay shared — they are immutable by construction, so the clone
-// still cannot observe or cause writes through them. This is the PR 5
-// deep-fork escape hatch; it is legal on any table, sealed or not, and is
-// read-only on t (safe to call concurrently from multiple forks).
+// still cannot observe or cause writes through them. It is legal on any
+// table, sealed or not, and is read-only on t. Machines fork with Seal +
+// Fork only; DeepClone backs mem.Allocator.Clone, the independent reference
+// copy the allocator's differential fuzz test checks forks and fast paths
+// against.
 func (t *Table[T]) DeepClone() *Table[T] {
 	c := &Table[T]{
 		spine: make([]*chunk[T], len(t.spine)),
@@ -295,14 +297,6 @@ func (t *Table[T]) Grow(n int) {
 	}
 	t.n = n
 }
-
-// ChunkCount returns the number of chunks on the spine.
-func (t *Table[T]) ChunkCount() int { return len(t.spine) }
-
-// ChunkResident reports whether chunk ci holds materialized data (true) or
-// still aliases the background fill chunk (false). Pristine-style scans
-// use this to skip never-written ranges wholesale.
-func (t *Table[T]) ChunkResident(ci int) bool { return t.spine[ci] != t.bg }
 
 // ResidentChunks counts materialized chunks — chunks carrying real data,
 // owned or frozen, attributed to this table whether or not other forks

@@ -36,8 +36,8 @@ func TestLazyBackground(t *testing.T) {
 	if got := tb.ResidentChunks(); got != 1 {
 		t.Fatalf("one write materialized %d chunks, want 1", got)
 	}
-	if tb.ChunkResident(0) || !tb.ChunkResident(123456>>chunkShift) {
-		t.Fatal("ChunkResident does not match the write")
+	if tb.spine[0] != tb.bg || tb.spine[123456>>chunkShift] == tb.bg {
+		t.Fatal("resident chunk does not match the write")
 	}
 }
 

@@ -1,15 +1,20 @@
 package runner
 
-import "testing"
+import (
+	"testing"
+
+	"hawkeye/internal/experiments"
+)
 
 // TestSnapshotForkMatchesFresh is the snapshot/fork equivalence gate: the
 // experiments that pre-fragment their machines (and therefore fork them from
 // the process-wide warm-up cache) run twice — once with the cache and once
 // with NoSnapshotCache forcing a fresh build-and-fragment per machine — and
-// the rendered tables must be byte-identical. Fork earns its speedup purely
-// by replaying a deep copy of the warmed-up state, so any divergence (a
-// substrate field missed by a clone, an RNG stream off by one draw, an event
-// scheduled in a different order) is a bug, not noise.
+// the rendered tables must be byte-identical. A small sweep grid is held to
+// the same contract row by row. Fork earns its speedup purely by replaying
+// the warmed-up state copy-on-write, so any divergence (a substrate field
+// missed by a fork, an RNG stream off by one draw, an event scheduled in a
+// different order) is a bug, not noise.
 func TestSnapshotForkMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fragmented experiments twice; skipped in -short")
@@ -44,4 +49,37 @@ func TestSnapshotForkMatchesFresh(t *testing.T) {
 				res.ID, fresh[res.ID], res.Table)
 		}
 	}
+
+	t.Run("sweep", func(t *testing.T) {
+		spec := experiments.SweepSpec{
+			Workload:   "graph500",
+			Policies:   []string{"linux", "hawkeye-pmu"},
+			Thresholds: []float64{0.3, 0.9},
+			Seeds:      2,
+			FragKeep:   0.15,
+		}
+		freshRows := RunSweep(spec, freshOpts, 2).Rows
+		cachedRows := RunSweep(spec, opts, 2).Rows
+		if len(freshRows) != len(cachedRows) {
+			t.Fatalf("fresh sweep has %d rows, cached %d", len(freshRows), len(cachedRows))
+		}
+		var dirty int64
+		for i, c := range cachedRows {
+			f := freshRows[i]
+			if c.Error != "" || f.Error != "" {
+				t.Fatalf("cell %s/%g/seed=%d: cached %q, fresh %q", c.Policy, c.Threshold, c.Seed, c.Error, f.Error)
+			}
+			// CowDirtyChunks counts the forked machine's copy-on-write
+			// materializations: harness telemetry that is zero on a fresh
+			// build by construction, not a simulation result.
+			dirty += c.CowDirtyChunks
+			c.CowDirtyChunks, f.CowDirtyChunks = 0, 0
+			if c != f {
+				t.Errorf("row %d: snapshot-forked sweep row differs from fresh build\nfresh:  %+v\nforked: %+v", i, f, c)
+			}
+		}
+		if dirty == 0 {
+			t.Error("cached sweep materialized no chunk — cells never forked from the snapshot cache")
+		}
+	})
 }

@@ -72,10 +72,6 @@ var (
 	budgetBytes int64
 	forkSeq     int64
 	evictions   int64
-
-	// deepForks routes every cache Fork through Snapshot.ForkDeep — the
-	// one-flag escape hatch back to deep-copy (PR 5) fork semantics.
-	deepForks bool
 )
 
 // For returns the snapshot of a machine built from cfg and fragmented with
@@ -186,16 +182,6 @@ func SetCacheBudget(n int64) {
 	enforceBudgetLocked(nil)
 }
 
-// SetDeepForks routes cache forks through Snapshot.ForkDeep (true) or the
-// default copy-on-write Snapshot.Fork (false). Deep forks restore PR 5
-// semantics: each machine duplicates every resident table chunk up front
-// and shares no writable-generation state with the cached image.
-func SetDeepForks(deep bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	deepForks = deep
-}
-
 // CacheStats is a point-in-time view of the cache.
 type CacheStats struct {
 	Entries       int   // cached snapshots (including ones still building)
@@ -231,22 +217,14 @@ func Stats() CacheStats {
 func Fork(cfg kernel.Config, pol kernel.Policy, keep, pinned float64) *kernel.Kernel {
 	tr := cfg.Trace
 	snap, evicted := forUse(cfg, keep, pinned)
-	mu.Lock()
-	deep := deepForks
-	mu.Unlock()
-	var k *kernel.Kernel
-	if deep {
-		k = snap.ForkDeep(pol, tr)
-	} else {
-		k = snap.Fork(pol, tr)
-	}
+	k := snap.Fork(pol, tr)
 	introspect.CountCacheAttach(k.Trace, "snapshot_cache", snap.Bytes(), evicted)
 	return k
 }
 
 // Reset drops every cached snapshot and zeroes the recency/eviction
-// counters (test isolation / memory release). The byte budget and the
-// deep-fork flag are configuration, not cache state, and survive Reset.
+// counters (test isolation / memory release). The byte budget is
+// configuration, not cache state, and survives Reset.
 func Reset() {
 	mu.Lock()
 	entries = make(map[Key]*cacheEntry)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hawkeye/internal/kernel"
-	"hawkeye/internal/mem"
 	"hawkeye/internal/trace"
 )
 
@@ -150,41 +149,6 @@ func TestCacheBudgetKeepsLiveEntry(t *testing.T) {
 		t.Fatalf("expected older entry evicted once second arrived: %+v", st)
 	}
 	_, _ = first, second
-}
-
-// TestDeepForksFlag pins the -no-snapshot-cache escape hatch: with deep
-// forks enabled, cache forks share no chunks with the image — observable
-// as zero copy-on-write materializations when the fork mutates state that
-// a COW fork would have had to copy.
-func TestDeepForksFlag(t *testing.T) {
-	Reset()
-	defer Reset()
-	defer SetDeepForks(false)
-
-	cfg := testCfg()
-	cow := Fork(cfg, nil, 0.3, kernel.DefaultPinnedChunkFrac)
-
-	SetDeepForks(true)
-	deep := Fork(cfg, nil, 0.3, kernel.DefaultPinnedChunkFrac)
-
-	// Same machine either way.
-	if c, d := cow.Alloc.FreePages(), deep.Alloc.FreePages(); c != d {
-		t.Fatalf("deep and COW forks disagree on free pages: %d vs %d", c, d)
-	}
-	// Mutating the deep fork materializes nothing (it owns its chunks);
-	// the COW fork pays chunk copies for the same operation.
-	if _, err := deep.Alloc.Alloc(0, mem.PreferZero, mem.TagAnon); err != nil {
-		t.Fatal(err)
-	}
-	if n := deep.COWDirtyChunks(); n != 0 {
-		t.Fatalf("deep fork materialized %d chunks; deep forks must own their tables", n)
-	}
-	if _, err := cow.Alloc.Alloc(0, mem.PreferZero, mem.TagAnon); err != nil {
-		t.Fatal(err)
-	}
-	if n := cow.COWDirtyChunks(); n == 0 {
-		t.Fatal("COW fork mutated state without materializing any chunk")
-	}
 }
 
 // TestCacheCounterSchema pins the names and semantics of the counters the

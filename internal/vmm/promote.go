@@ -121,11 +121,13 @@ func (v *VMM) Reserve(r *Region, blk mem.Block) {
 	}
 	r.Reserved = true
 	r.ReservedBlock = blk
+	r.reservedFreed = [bitmapWords]uint64{}
 }
 
 // ReleaseReservation frees the unpopulated frames of a reservation (memory
-// pressure path) and detaches it. Populated frames keep backing their PTEs.
-// It returns the number of frames released.
+// pressure path) and detaches it. Populated frames keep backing their PTEs,
+// and frames already freed when their mapping went away are not freed
+// again. It returns the number of frames released.
 func (v *VMM) ReleaseReservation(r *Region) int {
 	if !r.Reserved {
 		return 0
@@ -141,6 +143,9 @@ func (v *VMM) releaseReservationLocked(r *Region) int {
 		e := r.PTEs[slot]
 		if e.Present() && !e.COW() && e.Frame == frame {
 			continue // in use by this region
+		}
+		if w, m := bitOf(slot); r.reservedFreed[w]&m != 0 {
+			continue // already given back
 		}
 		v.Alloc.Free(frame, 0, !v.Content.Get(frame).Zero())
 		released++

@@ -88,6 +88,12 @@ type Region struct {
 	// base faults fill in place, enabling copy-free promotion.
 	Reserved      bool
 	ReservedBlock mem.Block
+	// reservedFreed marks the reservation's frames (by offset in the block)
+	// already given back to the allocator while the reservation stayed
+	// attached: unmapped and freed, or migrated away by compaction.
+	// Releasing the reservation frees every other frame it does not still
+	// map, so each frame is freed exactly once. Reserve clears it.
+	reservedFreed [bitmapWords]uint64
 }
 
 // Populated reports present base pages (or 512 for a huge mapping).
@@ -143,6 +149,15 @@ func (r *Region) markUnmapped(slot int) {
 	r.present[w] &^= m
 	r.accessed[w] &^= m
 	r.dirty[w] &^= m
+}
+
+// noteReservedFreed records that frame f went back to the allocator if it
+// belongs to the region's reservation; any other frame is ignored.
+func (r *Region) noteReservedFreed(f mem.FrameID) {
+	if off := f - r.ReservedBlock.Head; r.Reserved && off >= 0 && off < mem.HugePages {
+		w, m := bitOf(int(off))
+		r.reservedFreed[w] |= m
+	}
 }
 
 // clearSlotBitmaps resets every per-slot bitmap (promotion wiped the base

@@ -356,6 +356,7 @@ func (v *VMM) UnmapBase(p *Process, r *Region, slot int, freeFrame bool) {
 	p.rss--
 	v.rmap.Set(int(frame), mapping{})
 	if freeFrame {
+		r.noteReservedFreed(frame)
 		v.Alloc.Free(frame, 0, !v.Content.Get(frame).Zero())
 	}
 }
@@ -396,6 +397,7 @@ func (v *VMM) MoveFrame(old, new mem.FrameID) bool {
 	e.Frame = new
 	v.rmap.Set(int(new), m)
 	v.rmap.Set(int(old), mapping{})
+	r.noteReservedFreed(old) // compaction frees the source
 	return true
 }
 

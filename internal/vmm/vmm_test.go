@@ -190,26 +190,81 @@ func TestReservationInPlacePromotion(t *testing.T) {
 	}
 }
 
+// TestReleaseReservation drives a reserved region's frames back to the
+// allocator along every path that releases the reservation, including
+// those that free some of its frames before the reservation itself goes:
+// each frame must be freed exactly once (a second free panics), the
+// allocator must stay consistent, and every frame the process no longer
+// maps must be free again at the end.
 func TestReleaseReservation(t *testing.T) {
-	h := newHarness(t, 32)
-	p := h.vmm.NewProcess("test")
-	blk, _ := h.alloc.Alloc(mem.HugeOrder, mem.PreferZero, mem.TagAnon)
-	r := p.EnsureRegion(0)
-	h.vmm.Reserve(r, blk)
-	// Populate only 10 slots.
-	for slot := 0; slot < 10; slot++ {
-		h.vmm.MapBase(p, r, slot, blk.Head+mem.FrameID(slot))
+	cases := []struct {
+		name     string
+		populate int
+		run      func(t *testing.T, h *harness, p *Process, r *Region)
+	}{
+		{"release", 10, func(t *testing.T, h *harness, p *Process, r *Region) {
+			if got := h.vmm.ReleaseReservation(r); got != mem.HugePages-10 {
+				t.Fatalf("ReleaseReservation released %d, want %d", got, mem.HugePages-10)
+			}
+		}},
+		{"DontNeed part then release", 10, func(t *testing.T, h *harness, p *Process, r *Region) {
+			if got := h.vmm.DontNeed(p, 0, 5); got != 5 {
+				t.Fatalf("DontNeed released %d, want 5", got)
+			}
+			if got := h.vmm.ReleaseReservation(r); got != mem.HugePages-10 {
+				t.Fatalf("ReleaseReservation released %d, want %d", got, mem.HugePages-10)
+			}
+		}},
+		{"DontNeed whole region", 10, func(t *testing.T, h *harness, p *Process, r *Region) {
+			if got := h.vmm.DontNeed(p, 0, mem.HugePages); got != mem.HugePages {
+				t.Fatalf("DontNeed released %d, want %d", got, mem.HugePages)
+			}
+		}},
+		{"Exit", 10, func(t *testing.T, h *harness, p *Process, r *Region) {
+			h.vmm.Exit(p)
+		}},
+		{"PromoteCopy", 10, func(t *testing.T, h *harness, p *Process, r *Region) {
+			dst, err := h.alloc.Alloc(mem.HugeOrder, mem.PreferZero, mem.TagAnon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.vmm.PromoteCopy(p, r, dst)
+		}},
+		{"compaction migrates the rest", mem.HugePages, func(t *testing.T, h *harness, p *Process, r *Region) {
+			h.vmm.DontNeed(p, 0, 400)
+			if res := h.alloc.Compact(1); res.Moved != mem.HugePages-400 {
+				t.Fatalf("compaction moved %d frames, want %d", res.Moved, mem.HugePages-400)
+			}
+			if got := h.vmm.ReleaseReservation(r); got != 0 {
+				t.Fatalf("ReleaseReservation released %d, want 0", got)
+			}
+		}},
 	}
-	free := h.alloc.FreePages()
-	released := h.vmm.ReleaseReservation(r)
-	if released != mem.HugePages-10 {
-		t.Fatalf("released %d, want %d", released, mem.HugePages-10)
-	}
-	if h.alloc.FreePages() != free+mem.Pages(released) {
-		t.Fatal("released frames not freed")
-	}
-	if p.RSS() != 10 {
-		t.Fatalf("rss = %d, want 10", p.RSS())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 32)
+			p := h.vmm.NewProcess("test")
+			startFree := h.alloc.FreePages()
+			blk, err := h.alloc.Alloc(mem.HugeOrder, mem.PreferZero, mem.TagAnon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := p.EnsureRegion(0)
+			h.vmm.Reserve(r, blk)
+			for slot := 0; slot < tc.populate; slot++ {
+				h.vmm.MapBase(p, r, slot, blk.Head+mem.FrameID(slot))
+			}
+			tc.run(t, h, p, r)
+			if r.Reserved {
+				t.Fatal("reservation still attached")
+			}
+			if msg := h.alloc.CheckConsistency(); msg != "" {
+				t.Fatal(msg)
+			}
+			if got, want := h.alloc.FreePages(), startFree-mem.Pages(p.RSS()); got != want {
+				t.Fatalf("free pages = %d, want %d (rss %d)", got, want, p.RSS())
+			}
+		})
 	}
 }
 
